@@ -62,6 +62,51 @@ let soc = D26.soc
 let section title =
   Printf.printf "\n================ %s ================\n%!" title
 
+(* The host a BENCH_*.json document was measured on — core count, OCaml
+   version, flambda, source revision — since no number in one means
+   anything without it.  Fields the environment cannot answer read
+   "unknown"; a revision with uncommitted changes is suffixed "-dirty". *)
+let host () =
+  let module J = Noc_synthesis.Report.Json in
+  let first_line cmd =
+    match Unix.open_process_in cmd with
+    | exception Unix.Unix_error _ -> None
+    | ic ->
+      let line = try Some (String.trim (input_line ic)) with End_of_file -> None in
+      (match Unix.close_process_in ic with
+       | Unix.WEXITED 0 -> line
+       | _ -> None)
+  in
+  let flambda =
+    first_line
+      "ocamlfind ocamlopt -config-var flambda 2>/dev/null || ocamlopt \
+       -config-var flambda 2>/dev/null"
+  in
+  let commit =
+    match first_line "git rev-parse --short=12 HEAD 2>/dev/null" with
+    | None -> None
+    | Some rev ->
+      (match first_line "git status --porcelain --untracked-files=no 2>/dev/null" with
+       | Some _ -> Some (rev ^ "-dirty")
+       | None -> Some rev)
+  in
+  let unknown = Option.value ~default:"unknown" in
+  J.Obj
+    [
+      ("nproc", J.Int (Domain.recommended_domain_count ()));
+      ("ocaml", J.String Sys.ocaml_version);
+      ("flambda", J.String (unknown flambda));
+      ("commit", J.String (unknown commit));
+    ]
+
+(* Write one experiment's document, stamped with [host ()]. *)
+let write_bench file ~kind fields =
+  let module J = Noc_synthesis.Report.Json in
+  let oc = open_out file in
+  output_string oc (J.to_string (J.document ~kind (("host", host ()) :: fields)) ^ "\n");
+  close_out oc;
+  Printf.printf "\nwrote %s\n" file
+
 (* Memoize synthesis runs: several experiments share the same design. *)
 let synth_cache : (string, Synth.result) Hashtbl.t = Hashtbl.create 16
 
@@ -635,26 +680,18 @@ let sweep () =
             :: !rows)
         [ 1; 4 ])
     [ "d36"; "d48" ];
-  let doc =
-    J.to_string
-      (J.document ~kind:"bench_sweep"
-         [
-           ("cache_counters",
-            J.Obj
-              (List.filter_map
-                 (fun (k, v) ->
-                   if String.length k >= 6 && String.sub k 0 6 = "cache." then
-                     Some (k, J.Int v)
-                   else None)
-                 (Noc_exec.Metrics.counters ())));
-           ("rows", J.List (List.rev !rows));
-         ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_sweep.json" in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_sweep.json\n";
+  write_bench "BENCH_sweep.json" ~kind:"bench_sweep"
+    [
+      ("cache_counters",
+       J.Obj
+         (List.filter_map
+            (fun (k, v) ->
+              if String.length k >= 6 && String.sub k 0 6 = "cache." then
+                Some (k, J.Int v)
+              else None)
+            (Noc_exec.Metrics.counters ())));
+      ("rows", J.List (List.rev !rows));
+    ];
   if !gate_failed then begin
     Printf.printf "FAIL: cached d36 sequential sweep slower than uncached\n";
     exit 1
@@ -790,14 +827,8 @@ let scale () =
   let t, r, dw = one Noc_synthesis.Path_alloc.Flat d256 in
   row "d256" ~flat_s:t ~ref_s:None ~speedup:None
     ~cands:r.Synth.candidates_tried ~flat_w:dw ~ref_w:None ~identical:None;
-  let doc =
-    J.to_string (J.document ~kind:"bench_scale" [ ("rows", J.List (List.rev !rows)) ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_scale.json" in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_scale.json\n";
+  write_bench "BENCH_scale.json" ~kind:"bench_scale"
+    [ ("rows", J.List (List.rev !rows)) ];
   if !gate_failed then begin
     Printf.printf "FAIL: EXP-SCALE gate (identity or d48 speedup)\n";
     exit 1
@@ -940,26 +971,18 @@ let delta () =
           ]
         :: !rows)
     kinds;
-  let doc =
-    J.to_string
-      (J.document ~kind:"bench_delta"
-         [
-           ("cache_counters",
-            J.Obj
-              (List.filter_map
-                 (fun (k, v) ->
-                   if String.length k >= 6 && String.sub k 0 6 = "cache." then
-                     Some (k, J.Int v)
-                   else None)
-                 (Noc_exec.Metrics.counters ())));
-           ("rows", J.List (List.rev !rows));
-         ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_delta.json" in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_delta.json\n";
+  write_bench "BENCH_delta.json" ~kind:"bench_delta"
+    [
+      ("cache_counters",
+       J.Obj
+         (List.filter_map
+            (fun (k, v) ->
+              if String.length k >= 6 && String.sub k 0 6 = "cache." then
+                Some (k, J.Int v)
+              else None)
+            (Noc_exec.Metrics.counters ())));
+      ("rows", J.List (List.rev !rows));
+    ];
   if !gate_failed then exit 1
 
 (* ---------------- EXP-SCEN: multi-scenario synthesis ---------------- *)
@@ -1105,31 +1128,23 @@ let scenario_bench () =
           ])
       runs
   in
-  let doc =
-    J.to_string
-      (J.document ~kind:"bench_scenario"
-         [
-           ("benchmark", J.String "d36");
-           ("scenarios", J.Int (List.length sr.Synth.evals));
-           ("scenario_digest", J.String (Scenario.digest scenarios));
-           ("weighted_power_mw", J.Float sr.Synth.weighted_power_mw);
-           ("union_baseline_mw", J.Float sr.Synth.union_baseline_mw);
-           ("saving_pct", J.Float saving);
-           ("all_feasible", J.Bool all_feasible);
-           ("beats_baseline", J.Bool beats_baseline);
-           ("deterministic", J.Bool deterministic);
-           ("rescore_reuses_union", J.Bool rescore_reuses_union);
-           ("rescore_s", J.Float t_rescore);
-           ("result_digest", J.String (digest sr));
-           ("evals", J.List (List.map eval_json sr.Synth.evals));
-           ("rows", J.List rows);
-         ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_scenario.json" in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_scenario.json\n";
+  write_bench "BENCH_scenario.json" ~kind:"bench_scenario"
+    [
+      ("benchmark", J.String "d36");
+      ("scenarios", J.Int (List.length sr.Synth.evals));
+      ("scenario_digest", J.String (Scenario.digest scenarios));
+      ("weighted_power_mw", J.Float sr.Synth.weighted_power_mw);
+      ("union_baseline_mw", J.Float sr.Synth.union_baseline_mw);
+      ("saving_pct", J.Float saving);
+      ("all_feasible", J.Bool all_feasible);
+      ("beats_baseline", J.Bool beats_baseline);
+      ("deterministic", J.Bool deterministic);
+      ("rescore_reuses_union", J.Bool rescore_reuses_union);
+      ("rescore_s", J.Float t_rescore);
+      ("result_digest", J.String (digest sr));
+      ("evals", J.List (List.map eval_json sr.Synth.evals));
+      ("rows", J.List rows);
+    ];
   let gate name ok =
     if not ok then Printf.printf "FAIL: %s\n" name;
     not ok
@@ -1348,37 +1363,29 @@ let serve () =
         if pre "store." || pre "serve." then Some (k, J.Int v) else None)
       (Noc_exec.Metrics.counters ())
   in
-  let doc =
-    J.to_string
-      (J.document ~kind:"bench_serve"
-         [
-           ("benchmark", J.String "d26");
-           ("cold_ns", J.Int cold_ns);
-           ("cold_wall_s", J.Float wall_cold);
-           ("store_hit_ns", J.Int store_hit_ns);
-           ( "store_hit_speedup",
-             J.Float (float_of_int cold_ns /. float_of_int store_hit_ns) );
-           ("warm_requests", J.Int n_warm);
-           ("warm_p50_ns", J.Float warm_p50);
-           ("warm_p99_ns", J.Float warm_p99);
-           ("warm_req_per_s", J.Float req_s);
-           ("near_repeat_ns", J.Int near_ns);
-           ("near_repeat_source", J.String near_source);
-           ("cold2_ns", J.Int cold2_ns);
-           ("speedup", J.Float speedup);
-           ("identical", J.Bool identical);
-           ("survived_malformed", J.Bool malformed_ok);
-           ("survived_invalid", J.Bool invalid_ok);
-           ("survived", J.Bool survived);
-           ("store_entries", J.Int store_entries);
-           ("counters", J.Obj counters);
-         ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_serve.json\n";
+  write_bench "BENCH_serve.json" ~kind:"bench_serve"
+    [
+      ("benchmark", J.String "d26");
+      ("cold_ns", J.Int cold_ns);
+      ("cold_wall_s", J.Float wall_cold);
+      ("store_hit_ns", J.Int store_hit_ns);
+      ( "store_hit_speedup",
+        J.Float (float_of_int cold_ns /. float_of_int store_hit_ns) );
+      ("warm_requests", J.Int n_warm);
+      ("warm_p50_ns", J.Float warm_p50);
+      ("warm_p99_ns", J.Float warm_p99);
+      ("warm_req_per_s", J.Float req_s);
+      ("near_repeat_ns", J.Int near_ns);
+      ("near_repeat_source", J.String near_source);
+      ("cold2_ns", J.Int cold2_ns);
+      ("speedup", J.Float speedup);
+      ("identical", J.Bool identical);
+      ("survived_malformed", J.Bool malformed_ok);
+      ("survived_invalid", J.Bool invalid_ok);
+      ("survived", J.Bool survived);
+      ("store_entries", J.Int store_entries);
+      ("counters", J.Obj counters);
+    ];
   let rec rm path =
     if Sys.is_directory path then begin
       Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
@@ -1824,48 +1831,40 @@ let chaos () =
         if pre "store." || pre "serve." then Some (k, J.Int v) else None)
       (Noc_exec.Metrics.counters ())
   in
-  let doc =
-    J.to_string
-      (J.document ~kind:"bench_chaos"
-         [
-           ("benchmark", J.String "d12");
-           ("workers", J.Int workers);
-           ("queue_capacity", J.Int queue_capacity);
-           ("quiet_p50_ms", J.Float (quiet_p50 *. 1e3));
-           ("quiet_p99_ms", J.Float (quiet_p99 *. 1e3));
-           ("concurrent_p99_ms", J.Float (concurrent_p99 *. 1e3));
-           ("hol_bound_ms", J.Float (hol_bound *. 1e3));
-           ("hol_cold_wall_s", J.Float hol_cold_wall);
-           ("hol_ok", J.Bool hol_ok);
-           ("slow_writers_ok", J.Bool slow_ok);
-           ("disconnects_ok", J.Bool disc_ok);
-           ("malformed_ok", J.Bool malformed_ok);
-           ("deadline_answered", J.Int deadline_answered);
-           ("deadline_timeouts", J.Int deadline_timeouts);
-           ("hammer_ok", J.Bool hammer_ok);
-           ("alive_after_fleet", J.Bool alive_after_fleet);
-           ("shed_probes", J.Int shed_probes);
-           ("shed_all_overloaded", J.Bool shed_all_ok);
-           ("shed_max_ms", J.Float shed_max_ms);
-           ("shed_bound_ms", J.Float shed_bound_ms);
-           ("shed_ok", J.Bool shed_ok);
-           ("restart_status", J.String restart_status);
-           ("restart_source", J.String restart_source);
-           ("restart_digest_ok", J.Bool restart_digest_ok);
-           ("tmp_planted", J.Int tmp_planted);
-           ("tmp_gc_swept", J.Int tmp_gc_swept);
-           ("drain_status", J.String drain_status);
-           ("drain_ok", J.Bool drain_ok);
-           ("contamination_free", J.Bool contamination_free);
-           ("survived", J.Bool survived);
-           ("counters", J.Obj counters);
-         ])
-    ^ "\n"
-  in
-  let oc = open_out "BENCH_chaos.json" in
-  output_string oc doc;
-  close_out oc;
-  Printf.printf "\nwrote BENCH_chaos.json\n";
+  write_bench "BENCH_chaos.json" ~kind:"bench_chaos"
+    [
+      ("benchmark", J.String "d12");
+      ("workers", J.Int workers);
+      ("queue_capacity", J.Int queue_capacity);
+      ("quiet_p50_ms", J.Float (quiet_p50 *. 1e3));
+      ("quiet_p99_ms", J.Float (quiet_p99 *. 1e3));
+      ("concurrent_p99_ms", J.Float (concurrent_p99 *. 1e3));
+      ("hol_bound_ms", J.Float (hol_bound *. 1e3));
+      ("hol_cold_wall_s", J.Float hol_cold_wall);
+      ("hol_ok", J.Bool hol_ok);
+      ("slow_writers_ok", J.Bool slow_ok);
+      ("disconnects_ok", J.Bool disc_ok);
+      ("malformed_ok", J.Bool malformed_ok);
+      ("deadline_answered", J.Int deadline_answered);
+      ("deadline_timeouts", J.Int deadline_timeouts);
+      ("hammer_ok", J.Bool hammer_ok);
+      ("alive_after_fleet", J.Bool alive_after_fleet);
+      ("shed_probes", J.Int shed_probes);
+      ("shed_all_overloaded", J.Bool shed_all_ok);
+      ("shed_max_ms", J.Float shed_max_ms);
+      ("shed_bound_ms", J.Float shed_bound_ms);
+      ("shed_ok", J.Bool shed_ok);
+      ("restart_status", J.String restart_status);
+      ("restart_source", J.String restart_source);
+      ("restart_digest_ok", J.Bool restart_digest_ok);
+      ("tmp_planted", J.Int tmp_planted);
+      ("tmp_gc_swept", J.Int tmp_gc_swept);
+      ("drain_status", J.String drain_status);
+      ("drain_ok", J.Bool drain_ok);
+      ("contamination_free", J.Bool contamination_free);
+      ("survived", J.Bool survived);
+      ("counters", J.Obj counters);
+    ];
   let rec rm path =
     if Sys.is_directory path then begin
       Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);

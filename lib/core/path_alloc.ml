@@ -46,19 +46,65 @@ let mask_union a b =
 
 (* Which routing engine expands the search.  Both produce bit-identical
    topologies, routes and stats; [Reference] is the plain per-search
-   Dijkstra kept as the identity baseline (and the honest "before" side
-   of the EXP-SCALE bench), [Flat] is the arena-reused A* over the flat
+   Dijkstra kept as the identity oracle (and the honest "before" side of
+   the EXP-SCALE bench), [Flat] is the arena-reused A* over the flat
    adjacency with the hop-cost floor heuristic and the allocation-free
    hop kernel. *)
 type engine = Reference | Flat
 
-(* Scratch cell for the flat engine's hop kernel.  An all-float record is
-   stored flat (fields unboxed), so writing results here costs no
-   allocation — unlike the (power, latency) tuple the reference kernel
-   returns per edge evaluation. *)
-type hop_out = { mutable out_power : float; mutable out_latency : float }
+(* Per-switch factors of the hop cost, one float array per factor, filled
+   once per routing state by the [Noc_models] functions themselves (so
+   their argument checks still run).  A wire-memo miss in the flat engine
+   then costs a few flops over these arrays instead of about ten
+   cross-module calls that each return a boxed float.  Every entry is a
+   model call at one switch's own (vdd, freq); the pairwise maxima the
+   models take ([Float.max] of the two vdds or freqs) select the entry of
+   the switch holding the maximum, which is the same call, so each
+   recomposed cost is bit-identical to the model path. *)
+type factors = {
+  x : float array;
+  y : float array;
+  vdd : float array;
+  freq : float array;
+  escale : float array;        (* Tech.energy_scale *)
+  register_pj : float array;   (* Link_model.register_energy_per_flit_pj *)
+  sync_pj : float array;       (* Sync_model.energy_per_flit_pj *)
+  port_clock_mw : float array; (* one more port's clock power *)
+  converter_mw : float array;  (* Sync_model leakage + clock power *)
+}
 
-(* The hop-energy memo, laid out for the Dijkstra inner loop: directly
+let factors_of config topo =
+  let tech = config.Config.tech and flit_bits = topo.Topology.flit_bits in
+  let per f = Array.map f topo.Topology.switches in
+  {
+    x = per (fun sw -> sw.Topology.position.Geometry.x);
+    y = per (fun sw -> sw.Topology.position.Geometry.y);
+    vdd = per (fun sw -> sw.Topology.vdd);
+    freq = per (fun sw -> sw.Topology.freq_mhz);
+    escale = per (fun sw -> Noc_models.Tech.energy_scale tech ~vdd:sw.Topology.vdd);
+    register_pj =
+      per (fun sw ->
+          Link_model.register_energy_per_flit_pj tech ~flit_bits
+            ~vdd:sw.Topology.vdd);
+    sync_pj =
+      per (fun sw ->
+          Sync_model.energy_per_flit_pj tech ~flit_bits ~vdd:sw.Topology.vdd);
+    port_clock_mw =
+      per (fun sw ->
+          Units.power_mw_of_energy
+            ~energy_pj:
+              (1.0 *. Noc_models.Tech.energy_scale tech ~vdd:sw.Topology.vdd)
+            ~events_per_second:(sw.Topology.freq_mhz *. 1e6));
+    converter_mw =
+      per (fun sw ->
+          let vdd = sw.Topology.vdd in
+          Sync_model.leakage_mw tech ~flit_bits ~depth:Sync_model.default_depth
+            ~vdd
+          +. Sync_model.clock_power_mw tech ~flit_bits ~vdd
+               ~freq_mhz:sw.Topology.freq_mhz);
+  }
+
+(* The hop-energy memo, laid out for the search inner loop: directly
    indexed slots — no hashing, no allocation — holding the
    flow-independent cost factors, each tagged with the inputs it was
    computed from (a slot whose tag no longer matches is recomputed and
@@ -68,8 +114,7 @@ type hop_out = { mutable out_power : float; mutable out_latency : float }
    geometry and [stages], which is constant per (is_new, u, v) pair in
    practice — while the switch-traversal part depends on v's live port
    counts, which change every time routing opens a link.  Coupling them
-   under one tag would throw away the expensive wire model on every port
-   drift. *)
+   under one tag would throw away the wire part on every port drift. *)
 type hop_cache = {
   wire_tag : int array;
       (* (memo_epoch lsl 16) lor stages, or -1 cold — per (is_new, u, v).
@@ -77,11 +122,39 @@ type hop_cache = {
          far below 2^16, so the epoch field never aliases. *)
   wire_energy : float array;  (* energy_pj of the wire part of the hop *)
   wire_standing : float array; (* standing mW of opening the link *)
-  wire_latency : float array; (* hop latency in cycles, as Dijkstra uses it *)
+  wire_latency : float array; (* hop latency in cycles, as the search uses it *)
   sw_tag : int array;
       (* (memo_epoch lsl 20) lor packed ports, or -1 cold — per (is_new, v);
          the port packing is 20 bits by construction *)
   sw_energy : float array;    (* energy_pj of traversing switch v *)
+}
+
+let fresh_hop_cache n =
+  {
+    wire_tag = Array.make (2 * n * n) (-1);
+    wire_energy = Array.make (2 * n * n) 0.0;
+    wire_standing = Array.make (2 * n * n) 0.0;
+    wire_latency = Array.make (2 * n * n) 0.0;
+    sw_tag = Array.make (2 * n) (-1);
+    sw_energy = Array.make (2 * n) 0.0;
+  }
+
+(* One hop's flow-independent factors, as read from the memo.  All-float
+   records are stored flat, so filling this cell allocates nothing. *)
+type hop_out = {
+  mutable energy : float;   (* pJ per flit: switch part +. wire part *)
+  mutable standing : float; (* mW of opening the link *)
+  mutable latency : float;  (* cycles *)
+}
+
+(* The flow-dependent inputs of the flat kernel, set once per search and
+   read by every probe — float arguments would be boxed per call. *)
+type query = {
+  mutable bw : float;       (* the flow's MB/s *)
+  mutable rate : float;     (* its flits per second *)
+  mutable beta : float;
+  mutable p_norm : float;   (* [reference_hop_power_mw] for the flow *)
+  mutable lat_norm : float; (* its latency budget, in cycles *)
 }
 
 (* Per-domain pool for the O(n²) memo arrays above.  A sweep calls
@@ -101,12 +174,7 @@ type scratch = {
       (* current borrower's epoch, baked into every memo tag
          ([state.memo_epoch]); bumping it on reuse invalidates all stored
          entries in O(1) — no O(n²) refill per candidate *)
-  mutable sc_wire_tag : int array;
-  mutable sc_wire_energy : float array;
-  mutable sc_wire_standing : float array;
-  mutable sc_wire_latency : float array;
-  mutable sc_sw_tag : int array;
-  mutable sc_sw_energy : float array;
+  mutable sc_hop : hop_cache;
   mutable sc_new_stages : int array;
   sc_arena : Astar.arena;
       (* the domain's reusable search arena — internally epoch-stamped,
@@ -118,12 +186,7 @@ let scratch_key =
       {
         sc_cap = 0;
         sc_epoch = 0;
-        sc_wire_tag = [||];
-        sc_wire_energy = [||];
-        sc_wire_standing = [||];
-        sc_wire_latency = [||];
-        sc_sw_tag = [||];
-        sc_sw_energy = [||];
+        sc_hop = fresh_hop_cache 0;
         sc_new_stages = [||];
         sc_arena = Astar.create ();
       })
@@ -135,22 +198,18 @@ let borrow_scratch n =
   if n > sc.sc_cap then begin
     let cap = max n (2 * sc.sc_cap) in
     sc.sc_cap <- cap;
-    sc.sc_wire_tag <- Array.make (2 * cap * cap) (-1);
-    sc.sc_wire_energy <- Array.make (2 * cap * cap) 0.0;
-    sc.sc_wire_standing <- Array.make (2 * cap * cap) 0.0;
-    sc.sc_wire_latency <- Array.make (2 * cap * cap) 0.0;
-    sc.sc_sw_tag <- Array.make (2 * cap) (-1);
-    sc.sc_sw_energy <- Array.make (2 * cap) 0.0;
+    sc.sc_hop <- fresh_hop_cache cap;
     sc.sc_new_stages <- Array.make (cap * cap) (-1)
   end;
   sc
 
 (* Mutable routing state: port counters are maintained incrementally because
-   recounting them from the link table inside Dijkstra would be
+   recounting them from the link table inside the search would be
    quadratic. *)
 type state = {
   topo : Topology.t;
-  mask : mask;  (* switches/links Dijkstra must neither reuse nor open *)
+  n : int;  (* switch count *)
+  mask : mask;  (* switches/links the search must neither reuse nor open *)
   max_arity : int array;   (* per switch *)
   in_ports : int array;
   out_ports : int array;
@@ -159,43 +218,42 @@ type state = {
   out_to_inter : bool array;
       (* direct switch already owns a link towards the intermediate VI *)
   in_from_inter : bool array;
-  hop_cache : hop_cache option;
-      (* direct-indexed (energy_pj, standing_mw) per (is_new, u, v) hop,
-         tag-validated against the evolving (stages, ports) inputs — see
-         [hop_power_latency].  Local to this state (one domain), no lock. *)
-  new_stages : int array option;
+  island : int array;
+      (* per switch: its island id, or -1 for the intermediate VI *)
+  factors : factors;
+  hop_cache : hop_cache;
+      (* the flow-independent hop factors per (is_new, u, v), tag-validated
+         against the evolving (stages, ports) inputs — see [hop_factors].
+         Local to this state (one domain), no lock. *)
+  new_stages : int array;
       (* pipeline stages of a prospective u->v link, encoded
          [(memo_epoch lsl 16) lor stages] ([-1] cold) — pure in
          the fixed geometry and u's clock, so one manhattan/stage model
-         evaluation per pair instead of one per Dijkstra probe. *)
+         evaluation per pair instead of one per probe. *)
   memo_epoch : int;
       (* epoch baked into this state's [hop_cache]/[new_stages] tags: a
          pooled state inherits the scratch arrays without clearing them,
          and the fresh epoch makes every stale entry miss.  0 for
          unpooled states (whose arrays start cold-filled). *)
-  allowed_memo : (int, int array) Hashtbl.t option;
+  allowed_memo : (int, int array) Hashtbl.t;
       (* ascending switch ids admissible for an (si, di) flow — a pure
          function of the fixed switch locations.  Fault masks are checked
          per lookup, never baked in, so states sharing these tables across
          a mask change ([route_backup]) stay correct. *)
   hop_hits : int ref;   (* flushed to Metrics in batch: the global counter *)
-  hop_misses : int ref; (* mutex must not be taken per Dijkstra edge *)
+  hop_misses : int ref; (* mutex must not be taken per search edge *)
   engine : engine;
   arena : Astar.arena;
       (* the flat engine's reusable search arena (dist/pred/heap scratch);
          shared by design with the functional-update copies
          [route_backup_with] makes — one domain, one search at a time *)
-  hop_out : hop_out;  (* the flat engine's hop kernel scratch cell *)
-  island : int array;
-      (* per switch: its island id, or -1 for the intermediate VI.  Switch
-         locations are fixed for the lifetime of a topology, so the flat
-         expansion reads this flat copy instead of chasing
-         [switches.(s).location] per probe (no cross-module inlining
-         without flambda). *)
+  hop_out : hop_out;
+  query : query;
+  cell : Astar.cell;  (* where the flat kernel leaves an edge's cost *)
 }
 
-let make_state ?(mask = no_mask) ?(cache = true) ?(engine = Flat)
-    ?(pooled = false) config topo ~clocks =
+let make_state ?(mask = no_mask) ?(engine = Flat) ?(pooled = false) config
+    topo ~clocks =
   let n = Array.length topo.Topology.switches in
   let inter = lazy (Freq_assign.intermediate_clock config clocks) in
   let arity_of sw =
@@ -218,11 +276,16 @@ let make_state ?(mask = no_mask) ?(cache = true) ?(engine = Flat)
      pre-refactor allocation pattern (fresh memo arrays per state, raw
      epoch-0 tags) so what EXP-SCALE reports as "reference" is the
      unoptimized path, and so the oracle stays trivially auditable. *)
-  let pooled_sc =
-    if cache && pooled && engine = Flat then Some (borrow_scratch n) else None
+  let hop_cache, new_stages, memo_epoch, arena =
+    if pooled && engine = Flat then begin
+      let sc = borrow_scratch n in
+      (sc.sc_hop, sc.sc_new_stages, sc.sc_epoch, sc.sc_arena)
+    end
+    else (fresh_hop_cache n, Array.make (n * n) (-1), 0, Astar.create ())
   in
   {
     topo;
+    n;
     mask;
     max_arity = Array.map arity_of topo.Topology.switches;
     in_ports = Array.init n (fun sw -> Topology.in_ports topo sw);
@@ -231,43 +294,6 @@ let make_state ?(mask = no_mask) ?(cache = true) ?(engine = Flat)
     has_indirect;
     out_to_inter = Array.make n false;
     in_from_inter = Array.make n false;
-    hop_cache =
-      (match pooled_sc with
-       | Some sc ->
-         Some
-           {
-             wire_tag = sc.sc_wire_tag;
-             wire_energy = sc.sc_wire_energy;
-             wire_standing = sc.sc_wire_standing;
-             wire_latency = sc.sc_wire_latency;
-             sw_tag = sc.sc_sw_tag;
-             sw_energy = sc.sc_sw_energy;
-           }
-       | None ->
-         if cache then
-           Some
-             {
-               wire_tag = Array.make (2 * n * n) (-1);
-               wire_energy = Array.make (2 * n * n) 0.0;
-               wire_standing = Array.make (2 * n * n) 0.0;
-               wire_latency = Array.make (2 * n * n) 0.0;
-               sw_tag = Array.make (2 * n) (-1);
-               sw_energy = Array.make (2 * n) 0.0;
-             }
-         else None);
-    new_stages =
-      (match pooled_sc with
-       | Some sc -> Some sc.sc_new_stages
-       | None -> if cache then Some (Array.make (n * n) (-1)) else None);
-    memo_epoch =
-      (match pooled_sc with Some sc -> sc.sc_epoch | None -> 0);
-    allowed_memo = (if cache then Some (Hashtbl.create 16) else None);
-    hop_hits = ref 0;
-    hop_misses = ref 0;
-    engine;
-    arena =
-      (match pooled_sc with Some sc -> sc.sc_arena | None -> Astar.create ());
-    hop_out = { out_power = 0.0; out_latency = 0.0 };
     island =
       Array.map
         (fun sw ->
@@ -275,6 +301,18 @@ let make_state ?(mask = no_mask) ?(cache = true) ?(engine = Flat)
           | Topology.Island isl -> isl
           | Topology.Intermediate -> -1)
         topo.Topology.switches;
+    factors = factors_of config topo;
+    hop_cache;
+    new_stages;
+    memo_epoch;
+    allowed_memo = Hashtbl.create 16;
+    hop_hits = ref 0;
+    hop_misses = ref 0;
+    engine;
+    arena;
+    hop_out = { energy = 0.0; standing = 0.0; latency = 0.0 };
+    query = { bw = 0.0; rate = 0.0; beta = 0.0; p_norm = 1.0; lat_norm = 1.0 };
+    cell = Astar.cell ();
   }
 
 let flush_hop_metrics state =
@@ -287,8 +325,7 @@ let flush_hop_metrics state =
     state.hop_misses := 0
   end
 
-let is_intermediate state s =
-  state.topo.Topology.switches.(s).Topology.location = Topology.Intermediate
+let is_intermediate state s = state.island.(s) < 0
 
 (* While a direct switch is not yet connected to the intermediate VI, one
    port per direction is held back for that connection: otherwise the
@@ -356,8 +393,10 @@ let hop_switch_energy_pj config state ~is_new v =
 (* The wire part of a hop's cost — link, converter and pipeline-register
    energy plus the standing power of opening the link — a pure function of
    the topology's fixed geometry and supplies and (is_new, stages): the
-   (is_new, stages, u, v) memo key. *)
-let hop_wire_energy_standing config state ~is_new ~stages u v =
+   (is_new, stages, u, v) memo key.  Stated through the model calls: this
+   is the reference engine's fill, and the oracle [wire_of_factors] is
+   checked against. *)
+let wire_of_models config state ~is_new ~stages u v =
   let topo = state.topo in
   let tech = config.Config.tech in
   let flit_bits = topo.Topology.flit_bits in
@@ -412,103 +451,133 @@ let hop_wire_energy_standing config state ~is_new ~stages u v =
   in
   (e_link +. e_sync +. e_registers +. e_open, standing)
 
-(* Flow-independent factors of a hop's cost: the energy a flit spends on
-   hop u->v (entering switch v), and the standing power of opening the
-   link.  Summed switch-part-first so the memoized recomposition in
-   [hop_power_latency] rounds identically. *)
-let hop_energy_standing config state ~is_new ~stages u v =
-  let e_switch = hop_switch_energy_pj config state ~is_new v in
-  let e_wire, standing =
-    hop_wire_energy_standing config state ~is_new ~stages u v
+(* The same wire part from the per-switch factor table, in the models'
+   exact association order ([Link_model.energy_per_flit_pj] is
+   [pj_per_mm_bit *. length *. toggling_bits *. energy_scale]), written
+   straight into memo slot [widx]. *)
+let wire_of_factors config state ~is_new ~stages u v widx =
+  let f = state.factors and hc = state.hop_cache in
+  let crossing = state.island.(u) <> state.island.(v) in
+  let length = Float.abs (f.x.(u) -. f.x.(v)) +. Float.abs (f.y.(u) -. f.y.(v)) in
+  let e_link =
+    config.Config.tech.Noc_models.Tech.wire_energy_pj_per_mm_bit *. length
+    *. (0.5 *. float_of_int state.topo.Topology.flit_bits)
+    *. f.escale.(u)
   in
-  (e_switch +. e_wire, standing)
+  (* the switch at the higher supply — [Float.max vdd_u vdd_v]'s
+     argument — and, between equal supplies, at the higher clock *)
+  let hi =
+    if f.vdd.(u) > f.vdd.(v) || (f.vdd.(u) = f.vdd.(v) && f.freq.(u) >= f.freq.(v))
+    then u
+    else v
+  in
+  let e_sync = if crossing then f.sync_pj.(hi) else 0.0 in
+  let e_registers = float_of_int stages *. f.register_pj.(u) in
+  let e_open = if is_new then config.Config.new_link_penalty_pj else 0.0 in
+  hc.wire_energy.(widx) <- e_link +. e_sync +. e_registers +. e_open;
+  hc.wire_standing.(widx) <-
+    (if not is_new then 0.0
+     else begin
+       let converter =
+         if not crossing then 0.0
+         else if f.freq.(hi) >= f.freq.(u + v - hi) then f.converter_mw.(hi)
+         else begin
+           (* supply and clock maxima sit on different switches — never
+              under [Tech.vdd_for_frequency], which is monotone *)
+           let vdd = f.vdd.(hi) and flit_bits = state.topo.Topology.flit_bits in
+           let tech = config.Config.tech in
+           Sync_model.leakage_mw tech ~flit_bits
+             ~depth:Sync_model.default_depth ~vdd
+           +. Sync_model.clock_power_mw tech ~flit_bits ~vdd
+                ~freq_mhz:(Float.max f.freq.(u) f.freq.(v))
+         end
+       in
+       f.port_clock_mw.(u) +. f.port_clock_mw.(v) +. converter
+     end);
+  hc.wire_latency.(widx) <- float_of_int (hop_latency_cycles ~crossing ~stages)
 
-(* Packed (in_ports v, out_ports v) — everything the switch-traversal
-   cost reads that can drift as routing opens links.  [-1] (an oversized
-   field) falls back to direct computation, so packing limits can never
-   produce a wrong hit. *)
-let switch_tag_of state v =
-  let in_v = state.in_ports.(v) and out_v = state.out_ports.(v) in
-  if in_v >= 0 && in_v < 1024 && out_v >= 0 && out_v < 1024 then
-    (in_v lsl 10) lor out_v
-  else -1
+(* Fill wire slot [widx] the engine's way. *)
+let fill_wire config state ~is_new ~stages u v widx =
+  match state.engine with
+  | Flat -> wire_of_factors config state ~is_new ~stages u v widx
+  | Reference ->
+    let hc = state.hop_cache in
+    let e_wire, standing = wire_of_models config state ~is_new ~stages u v in
+    hc.wire_energy.(widx) <- e_wire;
+    hc.wire_standing.(widx) <- standing;
+    hc.wire_latency.(widx) <-
+      float_of_int
+        (hop_latency_cycles ~crossing:(Topology.is_crossing state.topo u v)
+           ~stages)
 
-(* Power increase of pushing the flow through hop u->v (entering switch v),
-   in mW; [is_new] adds the opening bias and, for crossings, the leakage of
-   the converter that would be instantiated.
+let wire_factors engine config topo ~clocks =
+  let state = make_state ~engine config topo ~clocks in
+  let n = state.n and hc = state.hop_cache in
+  let out = ref [] in
+  for stages = 1 downto 0 do
+    for widx = (2 * n * n) - 1 downto 0 do
+      let is_new = widx >= n * n and u = widx / n mod n and v = widx mod n in
+      if u <> v then begin
+        fill_wire config state ~is_new ~stages u v widx;
+        out :=
+          hc.wire_energy.(widx) :: hc.wire_standing.(widx)
+          :: hc.wire_latency.(widx) :: !out
+      end
+    done
+  done;
+  Array.of_list !out
 
-   This is the synthesis hot spot (~1.5M evaluations per d36 sweep), so
-   the flow-independent factors are memoized per routing state in directly
-   indexed arrays — the wire slot per (is_new, u, v) validated against
-   [stages], the switch slot per (is_new, v) against the live port counts
-   — so a lookup neither hashes nor allocates.
-   The flow only enters through the flit rate, and
+(* The flow-independent factors of hop u->v (entering switch v) into
+   [state.hop_out], through the memo.  This is the synthesis hot spot
+   (~7M evaluations per d128 sweep): the wire slot per (is_new, u, v) is
+   validated against [stages], the switch slot per (is_new, v) against
+   the live port counts, so a lookup neither hashes nor allocates.  The
+   flow only enters through the flit rate, and
    [Units.power_mw_of_energy ~energy_pj ~events_per_second] is linear in
    the rate, so caching the exact (energy_pj, standing_mw) pair and
-   recomposing through the same call keeps cached and uncached results
-   bit-identical. *)
+   recomposing keeps every cost bit-identical to direct evaluation.  The
+   energy is summed switch part first, the models' order. *)
+let hop_factors config state ~is_new ~stages u v =
+  let hc = state.hop_cache and n = state.n in
+  let widx = ((((if is_new then 1 else 0) * n) + u) * n) + v in
+  let wire_etag = (state.memo_epoch lsl 16) lor stages in
+  if hc.wire_tag.(widx) = wire_etag then incr state.hop_hits
+  else begin
+    incr state.hop_misses;
+    fill_wire config state ~is_new ~stages u v widx;
+    hc.wire_tag.(widx) <- wire_etag
+  end;
+  let in_v = state.in_ports.(v) and out_v = state.out_ports.(v) in
+  let e_switch =
+    if in_v < 1024 && out_v < 1024 then begin
+      let sidx = (if is_new then n else 0) + v in
+      let sw_etag = (state.memo_epoch lsl 20) lor (in_v lsl 10) lor out_v in
+      if hc.sw_tag.(sidx) <> sw_etag then begin
+        hc.sw_tag.(sidx) <- sw_etag;
+        hc.sw_energy.(sidx) <- hop_switch_energy_pj config state ~is_new v
+      end;
+      hc.sw_energy.(sidx)
+    end
+    else (* beyond the 10-bit port packing: never cached *)
+      hop_switch_energy_pj config state ~is_new v
+  in
+  let out = state.hop_out in
+  out.energy <- e_switch +. hc.wire_energy.(widx);
+  out.standing <- hc.wire_standing.(widx);
+  out.latency <- hc.wire_latency.(widx)
+
+(* Power increase of pushing the flow through hop u->v, in mW, and the
+   hop's latency: the reference engine's per-edge cost inputs. *)
 let hop_power_latency config state flow ~is_new ~stages u v =
   let rate =
     Units.flits_per_second ~bw_mbps:flow.Flow.bandwidth_mbps
       ~flit_bits:state.topo.Topology.flit_bits
   in
-  let direct () =
-    let energy_pj, standing =
-      hop_energy_standing config state ~is_new ~stages u v
-    in
-    let crossing = Topology.is_crossing state.topo u v in
-    (energy_pj, standing, float_of_int (hop_latency_cycles ~crossing ~stages))
-  in
-  let energy_pj, standing, latency =
-    match state.hop_cache with
-    | None -> direct ()
-    | Some hc ->
-      let sw_tag = switch_tag_of state v in
-      if sw_tag < 0 then direct ()
-      else begin
-        let n = Array.length state.topo.Topology.switches in
-        let widx = ((((if is_new then 1 else 0) * n) + u) * n) + v in
-        let sidx = (if is_new then n else 0) + v in
-        let wire_etag = (state.memo_epoch lsl 16) lor stages in
-        let sw_etag = (state.memo_epoch lsl 20) lor sw_tag in
-        let e_wire, standing, latency =
-          if hc.wire_tag.(widx) = wire_etag then begin
-            incr state.hop_hits;
-            ( hc.wire_energy.(widx),
-              hc.wire_standing.(widx),
-              hc.wire_latency.(widx) )
-          end
-          else begin
-            incr state.hop_misses;
-            let e_wire, standing =
-              hop_wire_energy_standing config state ~is_new ~stages u v
-            in
-            let crossing = Topology.is_crossing state.topo u v in
-            let latency =
-              float_of_int (hop_latency_cycles ~crossing ~stages)
-            in
-            hc.wire_tag.(widx) <- wire_etag;
-            hc.wire_energy.(widx) <- e_wire;
-            hc.wire_standing.(widx) <- standing;
-            hc.wire_latency.(widx) <- latency;
-            (e_wire, standing, latency)
-          end
-        in
-        let e_switch =
-          if hc.sw_tag.(sidx) = sw_etag then hc.sw_energy.(sidx)
-          else begin
-            let e = hop_switch_energy_pj config state ~is_new v in
-            hc.sw_tag.(sidx) <- sw_etag;
-            hc.sw_energy.(sidx) <- e;
-            e
-          end
-        in
-        (* same association as [hop_energy_standing]: switch part first *)
-        (e_switch +. e_wire, standing, latency)
-      end
-  in
-  (Units.power_mw_of_energy ~energy_pj ~events_per_second:rate +. standing,
-   latency)
+  hop_factors config state ~is_new ~stages u v;
+  let out = state.hop_out in
+  ( Units.power_mw_of_energy ~energy_pj:out.energy ~events_per_second:rate
+    +. out.standing,
+    out.latency )
 
 (* Normalization so the beta mix is dimensionless: a "typical" hop is a 5x5
    switch plus 2 mm of wire at nominal supply. *)
@@ -534,67 +603,59 @@ let reference_hop_power_mw config topo flow =
   Float.max 1e-9 (Units.power_mw_of_energy ~energy_pj:e ~events_per_second:rate)
 
 (* Ascending ids of the switches an (si, di) flow may visit — a pure
-   function of the topology's fixed switch locations, so it is worth
-   memoizing per state (fault masks are deliberately NOT baked in: a
+   function of the topology's fixed switch locations, so it is memoized
+   per state (fault masks are deliberately NOT baked in: a
    [route_backup] state shares these tables across a mask change). *)
-let compute_allowed state ~si ~di =
-  let n = Array.length state.topo.Topology.switches in
-  let buf = Array.make n 0 in
-  let count = ref 0 in
-  for v = 0 to n - 1 do
-    if node_allowed state ~si ~di v then begin
-      buf.(!count) <- v;
-      incr count
-    end
-  done;
-  Array.sub buf 0 !count
-
 let allowed_nodes state ~si ~di =
-  match state.allowed_memo with
-  | Some tbl when si >= 0 && si < 0xFFFFF && di >= 0 && di < 0xFFFFF ->
-    let key = (si lsl 20) lor di in
-    (match Hashtbl.find_opt tbl key with
-     | Some nodes -> Some nodes
-     | None ->
-       let nodes = compute_allowed state ~si ~di in
-       Hashtbl.add tbl key nodes;
-       Some nodes)
-  | Some _ | None -> None
-
-(* Pipeline stages of a prospective u->v link, through [state.new_stages]
-   when memoization is on. *)
-let new_link_stages config state u v =
   let compute () =
-    let topo = state.topo in
-    let sw_u = topo.Topology.switches.(u) in
-    let sw_v = topo.Topology.switches.(v) in
-    let length =
-      Geometry.manhattan sw_u.Topology.position sw_v.Topology.position
-    in
-    stages_needed config sw_u ~length_mm:length
+    let buf = Array.make state.n 0 in
+    let count = ref 0 in
+    for v = 0 to state.n - 1 do
+      if node_allowed state ~si ~di v then begin
+        buf.(!count) <- v;
+        incr count
+      end
+    done;
+    Array.sub buf 0 !count
   in
-  match state.new_stages with
-  | None -> compute ()
-  | Some arr ->
-    let idx = (u * Array.length state.topo.Topology.switches) + v in
-    let cached = arr.(idx) in
-    (* entries are [(memo_epoch lsl 16) lor stages]; an epoch mismatch is a
-       stale (or cold, for epoch 0 with -1 fill) slot *)
-    if cached asr 16 = state.memo_epoch && cached >= 0 then cached land 0xFFFF
-    else begin
-      let fresh = compute () in
-      if fresh land 0xFFFF = fresh then
-        arr.(idx) <- (state.memo_epoch lsl 16) lor fresh;
-      fresh
-    end
+  if si >= 0 && si < 0xFFFFF && di >= 0 && di < 0xFFFFF then begin
+    let key = (si lsl 20) lor di in
+    match Hashtbl.find_opt state.allowed_memo key with
+    | Some nodes -> nodes
+    | None ->
+      let nodes = compute () in
+      Hashtbl.add state.allowed_memo key nodes;
+      nodes
+  end
+  else compute ()
 
-(* [p_norm] is [reference_hop_power_mw] for this flow — constant across
-   one Dijkstra run, so callers hoist it out of the per-node expansion.
-   Push-iterator shape ({!Dijkstra.run_to_iter}): calls [relax v cost] per
-   admissible edge instead of building a list per expansion. *)
+(* Pipeline stages of a prospective u->v link, through [state.new_stages]:
+   entries are [(memo_epoch lsl 16) lor stages], and an epoch mismatch is
+   a stale (or cold, for epoch 0 with -1 fill) slot. *)
+let new_link_stages config state u v =
+  let idx = (u * state.n) + v in
+  let cached = state.new_stages.(idx) in
+  if cached asr 16 = state.memo_epoch && cached >= 0 then cached land 0xFFFF
+  else begin
+    let sw_u = state.topo.Topology.switches.(u) in
+    let length =
+      Geometry.manhattan sw_u.Topology.position
+        state.topo.Topology.switches.(v).Topology.position
+    in
+    let fresh = stages_needed config sw_u ~length_mm:length in
+    if fresh land 0xFFFF = fresh then
+      state.new_stages.(idx) <- (state.memo_epoch lsl 16) lor fresh;
+    fresh
+  end
+
+(* The reference engine's expansion ({!Dijkstra.run_to_iter}'s
+   push-iterator shape): calls [relax v cost] per admissible edge.  It
+   states the admissibility rules through the named helpers above and
+   fills the wire memo through the models, independently of [hop] below,
+   which it is the oracle for.  [p_norm] is [reference_hop_power_mw] for
+   this flow. *)
 let successors_iter config state flow ~si ~di ~beta ~p_norm ~allowed u relax =
   let topo = state.topo in
-  let n = Array.length topo.Topology.switches in
   let lat_norm = float_of_int flow.Flow.max_latency_cycles in
   let consider v =
     if
@@ -644,381 +705,136 @@ let successors_iter config state flow ~si ~di ~beta ~p_norm ~allowed u relax =
         relax v (Float.max 1e-9 cost)
     end
   in
-  (* Both walks visit the same admissible nodes in the same order, so
-     Dijkstra's tie-breaking — and every route — is identical with the
-     memo on or off.  (Descending, matching the consed successor lists of
-     earlier revisions, so routes stay stable across the refactor.) *)
-  match allowed with
-  | Some nodes ->
-    for i = Array.length nodes - 1 downto 0 do
-      consider nodes.(i)
-    done
-  | None ->
-    for v = n - 1 downto 0 do
-      if node_allowed state ~si ~di v then consider v
-    done
+  (* Descending, matching the consed successor lists of earlier
+     revisions, so routes stay stable across refactors. *)
+  for i = Array.length allowed - 1 downto 0 do
+    consider allowed.(i)
+  done
 
-(* ---------- the flat engine's hot path ---------- *)
+(* ---------- the flat engine's hop kernel ---------- *)
 
-(* The flat engine's hop kernel: the same memo slots and the same float
-   recomposition order — [e_switch +. e_wire], then
-   [power_mw_of_energy ... +. standing] — as [hop_power_latency], so
-   every cost is bit-identical; but the flit rate is hoisted to one
-   computation per search and the results land in the state's scratch
-   cell instead of a fresh tuple.  Keep the two kernels in lockstep —
-   and note that [successors_iter_flat] and [target_floor] unfold this
-   kernel's all-hit fast path inline (same tags, same recomposition), so
-   a change here must be mirrored there too. *)
-let hop_direct_flat config state ~rate ~is_new ~stages u v out =
-  let energy_pj, standing =
-    hop_energy_standing config state ~is_new ~stages u v
+(* The flat engine's single statement of edge admissibility and hop cost:
+   may hop u->v carry the flow described by [state.query] from island
+   [si] to [di]?  If so, its relax cost is left in [state.cell] and the
+   answer is [true].  [row] is u's row of the flat link table
+   ([Flat.out_row]), which callers hoist.  The expansion and
+   [target_floor] both call it, so the A* floor is taken over exactly the
+   edges — and the cost floats — the search relaxes.
+
+   Only ints, pointers and a bool cross its boundary; every float lives
+   in the state's all-float records and arrays, so no probe allocates. *)
+let hop config state ~si ~di ~row u v =
+  v <> u
+  && (state.mask == no_mask
+     || not (state.mask.dead_switch v || state.mask.dead_link u v))
+  &&
+  let q = state.query in
+  let cap_u = state.capacity.(u) and cap_v = state.capacity.(v) in
+  (* [link_capacity]: both capacities are positive and finite *)
+  let cap = if cap_u <= cap_v then cap_u else cap_v in
+  let admitted =
+    match (match row with None -> None | Some row -> row.(v)) with
+    | Some link ->
+      link.Topology.bw_mbps +. q.bw <= cap +. 1e-9
+      && begin
+        hop_factors config state ~is_new:false ~stages:link.Topology.stages u v;
+        true
+      end
+    | None ->
+      let isl_u = state.island.(u) and isl_v = state.island.(v) in
+      (* the shutdown-safe opening rules of [may_open] over island ids *)
+      (if isl_u >= 0 then
+         if isl_v < 0 then isl_u = si
+         else isl_u = isl_v || (isl_u = si && isl_v = di)
+       else isl_v < 0 || isl_v = di)
+      (* [out_reserve]/[in_reserve]: a link between two direct switches
+         may not take the port held back for the intermediate VI *)
+      && (let reserved = state.has_indirect && isl_u >= 0 && isl_v >= 0 in
+          state.out_ports.(u) + 1
+          <= state.max_arity.(u)
+             - (if reserved && not state.out_to_inter.(u) then 1 else 0)
+          && state.in_ports.(v) + 1
+             <= state.max_arity.(v)
+                - (if reserved && not state.in_from_inter.(v) then 1 else 0))
+      && q.bw <= cap +. 1e-9
+      && begin
+        hop_factors config state ~is_new:true
+          ~stages:(new_link_stages config state u v) u v;
+        true
+      end
   in
-  let crossing = Topology.is_crossing state.topo u v in
-  out.out_power <-
-    Units.power_mw_of_energy ~energy_pj ~events_per_second:rate +. standing;
-  out.out_latency <- float_of_int (hop_latency_cycles ~crossing ~stages)
-
-let hop_power_latency_flat config state ~rate ~is_new ~stages u v out =
-  match state.hop_cache with
-  | None -> hop_direct_flat config state ~rate ~is_new ~stages u v out
-  | Some hc ->
-    let sw_tag = switch_tag_of state v in
-    if sw_tag < 0 then hop_direct_flat config state ~rate ~is_new ~stages u v out
-    else begin
-      let n = Array.length state.topo.Topology.switches in
-      let widx = ((((if is_new then 1 else 0) * n) + u) * n) + v in
-      let sidx = (if is_new then n else 0) + v in
-      let wire_etag = (state.memo_epoch lsl 16) lor stages in
-      let sw_etag = (state.memo_epoch lsl 20) lor sw_tag in
-      if hc.wire_tag.(widx) = wire_etag then incr state.hop_hits
-      else begin
-        incr state.hop_misses;
-        let e_wire, standing =
-          hop_wire_energy_standing config state ~is_new ~stages u v
-        in
-        let crossing = Topology.is_crossing state.topo u v in
-        hc.wire_tag.(widx) <- wire_etag;
-        hc.wire_energy.(widx) <- e_wire;
-        hc.wire_standing.(widx) <- standing;
-        hc.wire_latency.(widx) <-
-          float_of_int (hop_latency_cycles ~crossing ~stages)
-      end;
-      if hc.sw_tag.(sidx) <> sw_etag then begin
-        hc.sw_tag.(sidx) <- sw_etag;
-        hc.sw_energy.(sidx) <- hop_switch_energy_pj config state ~is_new v
-      end;
-      (* same association as [hop_energy_standing]: switch part first *)
-      let energy_pj = hc.sw_energy.(sidx) +. hc.wire_energy.(widx) in
-      out.out_power <-
-        Units.power_mw_of_energy ~energy_pj ~events_per_second:rate
-        +. hc.wire_standing.(widx);
-      out.out_latency <- hc.wire_latency.(widx)
-    end
-
-(* Flat-engine expansion: the same admissible edges, in the same
-   descending order, at bit-identical costs as [successors_iter] — with
-   the per-edge allocations gone.  The link probe returns the stored
-   option cell of the flat adjacency, the (is_new, stages) candidate
-   tuple is replaced by direct control flow, and the hop kernel writes
-   into the scratch cell.
-
-   The compiler builds without flambda, so the small per-probe helpers
-   ([is_intermediate], [out_reserve]/[in_reserve], [may_open],
-   [link_capacity], [Units.power_mw_of_energy], [Float.max]) cost a call
-   each here — profiling puts them at ~20% of a sweep.  They are
-   therefore inlined by hand below, per-[u] invariants hoisted out of the
-   per-candidate probes, with every float expression kept in the exact
-   shape the helpers use.  Any admissibility or cost change here must be
-   mirrored in [successors_iter] and [target_floor]. *)
-let successors_iter_flat config state flow ~si ~di ~beta ~p_norm ~allowed =
-  let topo = state.topo in
-  let links = topo.Topology.links in
-  let n = Array.length topo.Topology.switches in
-  let lat_norm = float_of_int flow.Flow.max_latency_cycles in
-  let bw = flow.Flow.bandwidth_mbps in
-  let rate = Units.flits_per_second ~bw_mbps:bw ~flit_bits:topo.Topology.flit_bits in
-  let out = state.hop_out in
-  let hc_opt = state.hop_cache in
-  (* [no_mask]'s probes are constant [false]; skip the two indirect calls
-     per candidate on the (overwhelmingly common) unmasked states *)
-  let unmasked = state.mask == no_mask in
-  let dead_switch = state.mask.dead_switch and dead_link = state.mask.dead_link in
-  let island = state.island in
-  let in_ports = state.in_ports and out_ports = state.out_ports in
-  let capacity = state.capacity and max_arity = state.max_arity in
-  let in_from_inter = state.in_from_inter in
-  let has_indirect = state.has_indirect in
-  let new_stages = state.new_stages in
-  (* epoch-encoded tag bases ([hop_cache] / [new_stages] docs) *)
-  let epoch = state.memo_epoch in
-  let wire_ebase = epoch lsl 16 and sw_ebase = epoch lsl 20 in
-  (* [relax_hop] carries its full parameter list so it is a flow-level
-     value: no closure is re-allocated per expanded node.  Everything up
-     to the [fun u relax ->] below likewise runs once per search — the
-     engine fully applies only the returned expansion per settled node. *)
-  let relax_hop u v ~is_new ~stages relax =
-    (* the all-hit fast path of [hop_power_latency_flat], unfolded — any
-       cold or stale tag falls through to the full kernel, which keeps
-       the memo and the hit/miss counters exactly as before *)
-    (match hc_opt with
-     | Some hc ->
-       let in_v = in_ports.(v) and out_v = out_ports.(v) in
-       if in_v >= 0 && in_v < 1024 && out_v >= 0 && out_v < 1024 then begin
-         let sw_etag = sw_ebase lor ((in_v lsl 10) lor out_v) in
-         let widx = ((((if is_new then 1 else 0) * n) + u) * n) + v in
-         let sidx = (if is_new then n else 0) + v in
-         if hc.wire_tag.(widx) = wire_ebase lor stages then begin
-           (* the wire part hit; refresh the (cheap, port-drifting)
-              switch part in place exactly as the kernel would *)
-           if hc.sw_tag.(sidx) <> sw_etag then begin
-             hc.sw_tag.(sidx) <- sw_etag;
-             hc.sw_energy.(sidx) <- hop_switch_energy_pj config state ~is_new v
-           end;
-           incr state.hop_hits;
-           (* [hop_energy_standing]'s association, then
-              [Units.power_mw_of_energy ... +. standing] *)
-           let energy_pj = hc.sw_energy.(sidx) +. hc.wire_energy.(widx) in
-           out.out_power <-
-             (energy_pj *. rate *. 1e-9) +. hc.wire_standing.(widx);
-           out.out_latency <- hc.wire_latency.(widx)
-         end
-         else hop_power_latency_flat config state ~rate ~is_new ~stages u v out
-       end
-       else hop_power_latency_flat config state ~rate ~is_new ~stages u v out
-     | None -> hop_power_latency_flat config state ~rate ~is_new ~stages u v out);
+  admitted
+  && begin
+    (* [Units.power_mw_of_energy ... +. standing], then the beta mix *)
+    let out = state.hop_out in
+    let power = (out.energy *. q.rate *. 1e-9) +. out.standing in
     let cost =
-      (beta *. (out.out_power /. p_norm))
-      +. ((1.0 -. beta) *. (out.out_latency /. lat_norm))
+      (q.beta *. (power /. q.p_norm))
+      +. ((1.0 -. q.beta) *. (out.latency /. q.lat_norm))
     in
     (* [Float.max 1e-9 cost] for a non-NaN [cost] *)
-    relax v (if cost > 1e-9 then cost else 1e-9)
-  in
-  fun u relax ->
-    (* invariants of the expanded node [u], hoisted out of the probes *)
-    let row_u = Noc_graph.Flat.out_row links u in
-    let isl_u = island.(u) in
-    let cap_u = capacity.(u) in
-    let max_ar_u = max_arity.(u) in
-    let out_ports_u1 = out_ports.(u) + 1 in
-    let out_res_u =
-      (* [out_reserve state u], unfolded *)
-      if has_indirect && isl_u >= 0 && not state.out_to_inter.(u) then 1 else 0
-    in
-    let consider v =
-      if
-        v <> u
-        && (unmasked || ((not (dead_switch v)) && not (dead_link u v)))
-      then begin
-        match (match row_u with None -> None | Some row -> row.(v)) with
-        | Some link ->
-          (* [link_capacity state u v], unfolded: both are positive finite *)
-          let cap_v = capacity.(v) in
-          let cap = if cap_u <= cap_v then cap_u else cap_v in
-          if link.Topology.bw_mbps +. bw <= cap +. 1e-9 then
-            relax_hop u v ~is_new:false ~stages:link.Topology.stages relax
-        | None ->
-          let isl_v = island.(v) in
-          let out_cap = max_ar_u - (if isl_v < 0 then 0 else out_res_u) in
-          if out_ports_u1 <= out_cap then begin
-            (* [may_open state ~si ~di u v], unfolded over the island ids *)
-            let may =
-              if isl_u >= 0 then
-                if isl_v < 0 then isl_u = si
-                else isl_u = isl_v || (isl_u = si && isl_v = di)
-              else isl_v < 0 || isl_v = di
-            in
-            if may then begin
-              let in_cap =
-                max_arity.(v)
-                - (if isl_u >= 0 && has_indirect && isl_v >= 0
-                      && not in_from_inter.(v)
-                   then 1
-                   else 0)
-              in
-              if in_ports.(v) + 1 <= in_cap then begin
-                let cap_v = capacity.(v) in
-                let cap = if cap_u <= cap_v then cap_u else cap_v in
-                if bw <= cap +. 1e-9 then begin
-                  (* warm probe of the [new_link_stages] memo, unfolded:
-                     an entry is live iff its high bits carry this epoch *)
-                  let stages =
-                    match new_stages with
-                    | Some arr ->
-                      let c = arr.((u * n) + v) in
-                      if c asr 16 = epoch && c >= 0 then c land 0xFFFF
-                      else new_link_stages config state u v
-                    | None -> new_link_stages config state u v
-                  in
-                  relax_hop u v ~is_new:true ~stages relax
-                end
-              end
-            end
-          end
-      end
-    in
-    match allowed with
-    | Some nodes ->
-      for i = Array.length nodes - 1 downto 0 do
-        consider nodes.(i)
-      done
-    | None ->
-      for v = n - 1 downto 0 do
-        let a = island.(v) in
-        if a < 0 || a = si || a = di then consider v
-      done
+    state.cell.Astar.cost <- (if cost > 1e-9 then cost else 1e-9);
+    true
+  end
 
 (* The A* heuristic's constant: the exact float minimum relax cost over
-   the admissible edges entering [target], computed with the very same
-   kernel, admissibility tests and cost expression as the expansion.
-   During one search the routing state is immutable, so this set — and
-   each edge's cost — is fixed; h(v) = floor for v <> target and
-   h(target) = 0 is therefore consistent, and with the heap's (f, g, id)
-   ordering A* pops non-target nodes in exactly Dijkstra's (g, id) order
-   (see docs/ALGORITHM.md for the identity argument).  [infinity] when no
-   edge can enter the target: every f is then infinite, the g tie-key
-   alone orders the pops exactly as Dijkstra would, and the search proves
-   unreachability the same way. *)
-let target_floor config state flow ~si ~di ~beta ~p_norm ~allowed ~target =
-  let topo = state.topo in
-  let links = topo.Topology.links in
-  let n = Array.length topo.Topology.switches in
-  let lat_norm = float_of_int flow.Flow.max_latency_cycles in
-  let bw = flow.Flow.bandwidth_mbps in
-  let rate = Units.flits_per_second ~bw_mbps:bw ~flit_bits:topo.Topology.flit_bits in
-  let out = state.hop_out in
-  let hc_opt = state.hop_cache in
-  let unmasked = state.mask == no_mask in
-  let dead_switch = state.mask.dead_switch and dead_link = state.mask.dead_link in
-  let island = state.island in
-  let in_ports = state.in_ports and out_ports = state.out_ports in
-  let capacity = state.capacity and max_arity = state.max_arity in
-  let out_to_inter = state.out_to_inter in
-  let has_indirect = state.has_indirect in
-  let new_stages = state.new_stages in
-  let epoch = state.memo_epoch in
-  let wire_ebase = epoch lsl 16 and sw_ebase = epoch lsl 20 in
-  (* invariants of the fixed [target] endpoint, hoisted out of the scan;
-     the per-probe helpers are unfolded exactly as in
-     [successors_iter_flat] — keep the three sites in lockstep *)
-  let isl_t = island.(target) in
-  let cap_t = capacity.(target) in
-  let in_ports_t1 = in_ports.(target) + 1 in
-  let in_res_t =
-    (* [in_reserve state target], unfolded *)
-    if has_indirect && isl_t >= 0 && not state.in_from_inter.(target) then 1
-    else 0
-  in
+   the admissible edges entering [target], from [hop] itself.  During one
+   search the routing state is immutable, so this set — and each edge's
+   cost — is fixed; h(v) = floor for v <> target and h(target) = 0 is
+   therefore consistent, and with the heap's (f, g, id) ordering A* pops
+   non-target nodes in exactly Dijkstra's (g, id) order (see
+   docs/ALGORITHM.md for the identity argument).  [infinity] when no edge
+   can enter the target: every f is then infinite, the g tie-key alone
+   orders the pops exactly as Dijkstra would, and the search proves
+   unreachability the same way.  A dead switch is never settled, so its
+   edges are left out. *)
+let target_floor config state ~si ~di ~allowed ~target =
+  let links = state.topo.Topology.links in
   let best = ref infinity in
-  let score u ~is_new ~stages =
-    (* all-hit fast path of [hop_power_latency_flat] with v = [target] *)
-    (match hc_opt with
-     | Some hc ->
-       let in_v = in_ports.(target) and out_v = out_ports.(target) in
-       if in_v >= 0 && in_v < 1024 && out_v >= 0 && out_v < 1024 then begin
-         let sw_etag = sw_ebase lor ((in_v lsl 10) lor out_v) in
-         let widx = ((((if is_new then 1 else 0) * n) + u) * n) + target in
-         let sidx = (if is_new then n else 0) + target in
-         if hc.wire_tag.(widx) = wire_ebase lor stages then begin
-           if hc.sw_tag.(sidx) <> sw_etag then begin
-             hc.sw_tag.(sidx) <- sw_etag;
-             hc.sw_energy.(sidx) <-
-               hop_switch_energy_pj config state ~is_new target
-           end;
-           incr state.hop_hits;
-           let energy_pj = hc.sw_energy.(sidx) +. hc.wire_energy.(widx) in
-           out.out_power <-
-             (energy_pj *. rate *. 1e-9) +. hc.wire_standing.(widx);
-           out.out_latency <- hc.wire_latency.(widx)
-         end
-         else
-           hop_power_latency_flat config state ~rate ~is_new ~stages u target
-             out
-       end
-       else
-         hop_power_latency_flat config state ~rate ~is_new ~stages u target out
-     | None ->
-       hop_power_latency_flat config state ~rate ~is_new ~stages u target out);
-    let cost =
-      (beta *. (out.out_power /. p_norm))
-      +. ((1.0 -. beta) *. (out.out_latency /. lat_norm))
-    in
-    let w = if cost > 1e-9 then cost else 1e-9 in
-    if w < !best then best := w
-  in
-  let consider u =
+  for i = 0 to Array.length allowed - 1 do
+    let u = allowed.(i) in
     if
-      u <> target
-      && (unmasked || ((not (dead_switch u)) && not (dead_link u target)))
+      (state.mask == no_mask || not (state.mask.dead_switch u))
+      && hop config state ~si ~di ~row:(Noc_graph.Flat.out_row links u) u
+           target
     then begin
-      match Noc_graph.Flat.get links u target with
-      | Some link ->
-        let cap_u = capacity.(u) in
-        let cap = if cap_u <= cap_t then cap_u else cap_t in
-        if link.Topology.bw_mbps +. bw <= cap +. 1e-9 then
-          score u ~is_new:false ~stages:link.Topology.stages
-      | None ->
-        let isl_u = island.(u) in
-        let out_cap =
-          max_arity.(u)
-          - (if isl_t < 0 then 0
-             else if has_indirect && isl_u >= 0 && not out_to_inter.(u) then 1
-             else 0)
-        in
-        if out_ports.(u) + 1 <= out_cap then begin
-          let may =
-            if isl_u >= 0 then
-              if isl_t < 0 then isl_u = si
-              else isl_u = isl_t || (isl_u = si && isl_t = di)
-            else isl_t < 0 || isl_t = di
-          in
-          if may && in_ports_t1 <= (max_arity.(target) - (if isl_u < 0 then 0 else in_res_t))
-          then begin
-            let cap_u = capacity.(u) in
-            let cap = if cap_u <= cap_t then cap_u else cap_t in
-            if bw <= cap +. 1e-9 then begin
-              let stages =
-                match new_stages with
-                | Some arr ->
-                  let c = arr.((u * n) + target) in
-                  if c asr 16 = epoch && c >= 0 then c land 0xFFFF
-                  else new_link_stages config state u target
-                | None -> new_link_stages config state u target
-              in
-              score u ~is_new:true ~stages
-            end
-          end
-        end
+      let w = state.cell.Astar.cost in
+      if w < !best then best := w
     end
-  in
-  (match allowed with
-  | Some nodes -> Array.iter consider nodes
-  | None ->
-    for u = 0 to n - 1 do
-      let a = island.(u) in
-      if a < 0 || a = si || a = di then consider u
-    done);
+  done;
   !best
 
 (* One search, dispatched on the state's engine.  Both sides expand the
-   same edges at the same costs; the flat side adds the floor heuristic
-   and reuses the arena. *)
+   same edges, in the same descending order, at the same costs; the flat
+   side adds the floor heuristic and reuses the arena. *)
 let shortest_path config state flow ~si ~di ~beta ~p_norm ~allowed ~source
     ~target =
-  let n = Array.length state.topo.Topology.switches in
   match state.engine with
   | Reference ->
-    Dijkstra.run_to_iter ~n
+    Dijkstra.run_to_iter ~n:state.n
       ~successors_iter:
         (successors_iter config state flow ~si ~di ~beta ~p_norm ~allowed)
       ~source ~target
   | Flat ->
-    let floor =
-      target_floor config state flow ~si ~di ~beta ~p_norm ~allowed ~target
+    let q = state.query in
+    q.bw <- flow.Flow.bandwidth_mbps;
+    q.rate <-
+      Units.flits_per_second ~bw_mbps:flow.Flow.bandwidth_mbps
+        ~flit_bits:state.topo.Topology.flit_bits;
+    q.beta <- beta;
+    q.p_norm <- p_norm;
+    q.lat_norm <- float_of_int flow.Flow.max_latency_cycles;
+    let floor = target_floor config state ~si ~di ~allowed ~target in
+    let links = state.topo.Topology.links in
+    let expand u relax =
+      let row = Noc_graph.Flat.out_row links u in
+      for i = Array.length allowed - 1 downto 0 do
+        let v = allowed.(i) in
+        if hop config state ~si ~di ~row u v then relax v
+      done
     in
-    Astar.run_to_const state.arena ~n
-      ~successors_iter:
-        (successors_iter_flat config state flow ~si ~di ~beta ~p_norm ~allowed)
-      ~floor ~source ~target
+    Astar.run_to_const state.arena ~n:state.n ~successors_iter:expand
+      ~cost:state.cell ~floor ~source ~target
 
 let open_missing config state route =
   let topo = state.topo in
@@ -1319,9 +1135,9 @@ let sorted_by_bandwidth flows =
     cell := Some (flows, sorted);
     sorted
 
-let route_all ?(priority = []) ?cache ?engine config soc topo ~clocks =
+let route_all ?(priority = []) ?cache:_ ?engine config soc topo ~clocks =
   Metrics.time "path_alloc.route_all" @@ fun () ->
-  let state = make_state ?cache ?engine ~pooled:true config topo ~clocks in
+  let state = make_state ?engine ~pooled:true config topo ~clocks in
   let pristine = save state in
   let flows_of priority =
     match priority with
@@ -1409,10 +1225,10 @@ type session = {
   s_state : state;
 }
 
-let session ?mask ?cache ?engine config topo ~clocks =
+let session ?mask ?cache:_ ?engine config topo ~clocks =
   {
     s_config = config;
-    s_state = make_state ?mask ?cache ?engine config topo ~clocks;
+    s_state = make_state ?mask ?engine config topo ~clocks;
   }
 
 let discard { s_state = state; _ } flow =

@@ -35,7 +35,8 @@ type engine =
   | Flat
       (** arena-reused A* over the flat adjacency: the admissible
           hop-cost floor into the target as heuristic, decrease-key heap,
-          allocation-free hop kernel.  The default. *)
+          one allocation-free hop kernel over a per-switch factor table.
+          The default. *)
 (** Which engine expands the per-flow shortest-path search.  Both produce
     bit-identical topologies, routes and stats (see docs/ALGORITHM.md,
     "The flat core and A*"); [Flat] is several times faster and
@@ -73,16 +74,32 @@ val route_all :
     had to do.  Deterministic: identical inputs produce identical
     topologies, routes and stats.
 
-    [cache] (default [true]) memoizes the flow-independent factors of the
-    hop cost per allocation — the synthesis hot spot.  Cached and uncached
-    runs are bit-identical (see ALGORITHM.md, "Memoization soundness");
-    hits/misses are reported in {!Noc_exec.Metrics} as
-    [cache.hop_energy.hits] / [cache.hop_energy.misses].
+    The flow-independent factors of the hop cost — the synthesis hot
+    spot — are memoized per allocation, unconditionally: the memo is
+    bit-identical to direct evaluation by construction (see ALGORITHM.md,
+    "Memoization soundness"); hits/misses are reported in
+    {!Noc_exec.Metrics} as [cache.hop_energy.hits] /
+    [cache.hop_energy.misses].  [cache] is accepted for source
+    compatibility and has no effect: {!Synth.Options.cache} governs only
+    the process-wide tables.
 
     [engine] (default [Flat]) selects the search engine; results are
     bit-identical either way. *)
 
 val pp_error : Format.formatter -> error -> unit
+
+val wire_factors :
+  engine ->
+  Config.t ->
+  Topology.t ->
+  clocks:Freq_assign.island_clock array ->
+  float array
+(** For the engine-identity tests: the wire part of every hop's memoized
+    cost factors — energy pJ, standing mW and latency cycles for each
+    [(is_new, stages, u, v)] with [stages] 0 and 1 and [u <> v] — as the
+    engine fills a missed memo slot: [Reference] through the model calls,
+    [Flat] from its per-switch factor table.  The two must agree bit for
+    bit on any topology.  Does not touch the topology. *)
 
 (** {2 Fault masks and incremental sessions}
 

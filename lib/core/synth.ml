@@ -346,8 +346,7 @@ let run ?(options = Options.default) config soc vi =
         ~plan ~clocks ~vcgs ~switch_counts ~indirect_count
     in
     match
-      Path_alloc.route_all ~cache:o.Options.cache ~engine:o.Options.routing
-        config soc topo ~clocks
+      Path_alloc.route_all ~engine:o.Options.routing config soc topo ~clocks
     with
     | Ok stats ->
       let recovered =
@@ -361,8 +360,7 @@ let run ?(options = Options.default) config soc vi =
         (not o.Options.protect)
         ||
         let session =
-          Path_alloc.session ~cache:o.Options.cache
-            ~engine:o.Options.routing config topo ~clocks
+          Path_alloc.session ~engine:o.Options.routing config topo ~clocks
         in
         let by_bandwidth a b =
           match

@@ -42,14 +42,15 @@ module Options : sig
     cache : bool;
         (** memoize sub-problems process-wide: per-island min-cut
             partitions, per-island clock assignment, the (annealed)
-            floorplan, whole candidate evaluations, and the
-            flow-independent hop-cost factors inside {!Path_alloc}.
-            Every table is keyed on a content digest of the projection of
-            the spec that sub-problem reads, which is what makes {!rerun}
-            incremental.  Cached and uncached runs are bit-identical (see
-            ALGORITHM.md, "Memoization soundness" and "Incremental
-            invalidation"); hit/miss/eviction counts appear in
-            {!Noc_exec.Metrics} under [cache.*]. *)
+            floorplan and whole candidate evaluations.  (The per-state
+            hop-cost memo inside {!Path_alloc} is always on; it is not a
+            process-wide table.)  Every table is keyed on a content
+            digest of the projection of the spec that sub-problem reads,
+            which is what makes {!rerun} incremental.  Cached and
+            uncached runs are bit-identical (see ALGORITHM.md,
+            "Memoization soundness" and "Incremental invalidation");
+            hit/miss/eviction counts appear in {!Noc_exec.Metrics} under
+            [cache.*]. *)
     prune : bool;
         (** skip candidates whose power/latency lower bounds are dominated
             by an already-saved point.  Cheaper sweeps with an identical

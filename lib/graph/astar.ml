@@ -106,15 +106,23 @@ let run_to_iter t ~n ~successors_iter ~heuristic ~source ~target =
   loop ();
   reconstruct t ~target
 
-(* The production entry point: the path allocator's heuristic is always
-   the constant-floor shape, and without flambda the generic
-   [run_to_iter] pays an indirect call per relaxation just to compute
-   [if v = target then 0.0 else floor].  This copy of the loop inlines
-   that test; the float arithmetic — and therefore every pop order and
-   result — is exactly [run_to_iter]'s with that closure (the
-   equivalence is property-tested in test_graph.ml).  Keep the two loop
-   bodies in sync. *)
-let run_to_const t ~n ~successors_iter ~floor ~source ~target =
+(* The production entry point.  The path allocator's heuristic is always
+   the constant-floor shape, so the test [if v = target then 0.0 else
+   floor] is inlined instead of called through a closure; the float
+   arithmetic — and therefore every pop order and result — is exactly
+   [run_to_iter]'s with that closure (property-tested in test_flat.ml).
+
+   Without flambda a float passed to an unknown closure is boxed, so the
+   edge weight does not travel as an argument: the expansion stores it in
+   [cost] and then calls [relax v].  [relax] reads the expanded node from
+   [u_cur] rather than capturing it, so it — like the caller's expansion —
+   is built once per search, not once per settled node.  Keep the
+   relaxation rule in step with [run_to_iter]'s. *)
+type cell = { mutable cost : float }
+
+let cell () = { cost = 0.0 }
+
+let run_to_const t ~n ~successors_iter ~cost ~floor ~source ~target =
   if Float.is_nan floor || floor < 0.0 then
     invalid_arg "Astar.run_to_const: floor must be a non-negative bound";
   check t ~n ~source ~target;
@@ -127,28 +135,33 @@ let run_to_const t ~n ~successors_iter ~floor ~source ~target =
   Heap.Indexed.insert heap source
     ~key:(0.0 +. (if source = target then 0.0 else floor))
     ~tie:0.0;
-  let rec loop () =
-    let u = Heap.Indexed.pop_min heap in
-    if u >= 0 && u <> target then begin
-      let d = dist.(u) in
-      successors_iter u (fun v w ->
-          if v >= 0 && v < n && Float.is_finite w && w >= 0.0 then begin
-            let candidate = d +. w in
-            if stamp.(v) <> epoch || candidate < dist.(v) then begin
-              (* goal-bound pruning — see [run_to_iter] *)
-              let f =
-                if v = target then candidate else candidate +. floor
-              in
-              if stamp.(target) <> epoch || f < dist.(target) then begin
-                dist.(v) <- candidate;
-                pred.(v) <- u;
-                stamp.(v) <- epoch;
-                Heap.Indexed.insert_or_decrease heap v ~key:f ~tie:candidate
-              end
-            end
-          end);
-      loop ()
+  let u_cur = ref source in
+  let relax v =
+    let w = cost.cost in
+    if v >= 0 && v < n && Float.is_finite w && w >= 0.0 then begin
+      let u = !u_cur in
+      (* [dist.(u)] cannot move while [u] expands: improving it would
+         take a negative edge *)
+      let candidate = dist.(u) +. w in
+      if stamp.(v) <> epoch || candidate < dist.(v) then begin
+        (* goal-bound pruning — see [run_to_iter] *)
+        let f = if v = target then candidate else candidate +. floor in
+        if stamp.(target) <> epoch || f < dist.(target) then begin
+          dist.(v) <- candidate;
+          pred.(v) <- u;
+          stamp.(v) <- epoch;
+          Heap.Indexed.insert_or_decrease heap v ~key:f ~tie:candidate
+        end
+      end
     end
   in
-  loop ();
+  let searching = ref true in
+  while !searching do
+    let u = Heap.Indexed.pop_min heap in
+    if u >= 0 && u <> target then begin
+      u_cur := u;
+      successors_iter u relax
+    end
+    else searching := false
+  done;
   reconstruct t ~target

@@ -38,19 +38,30 @@ val run_to_iter :
     (g), not f.
     @raise Invalid_argument if [source] or [target] is out of range. *)
 
+type cell = { mutable cost : float }
+(** The edge-weight cell of {!run_to_const}.  An all-float record is
+    stored flat, so writing a weight here allocates nothing — unlike
+    passing it to a closure, which boxes it without flambda. *)
+
+val cell : unit -> cell
+
 val run_to_const :
   arena ->
   n:int ->
-  successors_iter:(int -> (int -> float -> unit) -> unit) ->
+  successors_iter:(int -> (int -> unit) -> unit) ->
+  cost:cell ->
   floor:float ->
   source:int ->
   target:int ->
   (float * int list) option
 (** [run_to_iter] specialized to the constant-floor heuristic
     [h v = if v = target then 0.0 else floor] — the shape the path
-    allocator always uses.  Avoids the per-relaxation closure call the
-    generic entry pays without cross-module inlining; results are
-    bit-identical to [run_to_iter] with that closure.  [floor] must be
-    non-negative ([infinity] allowed, NaN rejected).
+    allocator always uses — with a relaxation protocol that passes edge
+    weights without boxing them: [successors_iter u relax] reports each edge [u -> v] by storing its
+    weight in [cost.cost] and then calling [relax v].  [relax] is built
+    once per search, so the caller should likewise build its expansion
+    once per search.  Results are bit-identical to [run_to_iter] with the
+    constant closure and the same edges.  [floor] must be non-negative
+    ([infinity] allowed, NaN rejected).
     @raise Invalid_argument on out-of-range endpoints or a NaN/negative
     [floor]. *)
